@@ -21,6 +21,12 @@ antipode:
 Everything is exact; elements of the localization are stored as
 ``numerator / det^power`` pairs and compared by cross-multiplication.
 
+Numerators are :class:`Polynomial` values.  A monomial is one ``int`` with
+a byte-wide exponent field per registered variable, so multiplying
+monomials is adding ints; ``unpack`` gives back the sorted
+``((var, exponent), ...)`` form.  Coefficients are ``int`` when integral
+(as in every coproduct and antipode entry) and ``Fraction`` otherwise.
+
 The grading: ``a^k_J`` has degree ``|J| - 1`` (the weight under conjugation
 by the scaling jet ``t -> z t``); ``det`` and ``det^{-1}`` have degree 0,
 and all structure maps are degree-preserving.
@@ -49,32 +55,82 @@ from .series import (
 #: a coordinate variable: (alphabet, component index k, multi-index J)
 Var = tuple[str, int, tuple[int, ...]]
 
-#: a monomial: ((var, exponent), ...) sorted by var_key
-Monomial = tuple[tuple[Var, int], ...]
+#: a monomial: one nonnegative int packing its exponent vector, one byte per
+#: variable slot (slot s holds bits 8s .. 8s+7).  The top bit of each byte is
+#: a guard, so exponents run up to MAX_EXPONENT and the product of two
+#: monomials is their integer sum, with no carry between fields.
+Monomial = int
+
+#: the largest exponent a variable may carry in a monomial
+MAX_EXPONENT = 127
+_OVERFLOW = f"polynomial exponent exceeds the limit {MAX_EXPONENT}"
+
+# The variable registry: slots are handed out in order of first use, so the
+# variables of small shapes get small slots and short ints.  It only grows.
+_SLOT: dict[Var, int] = {}
+_VARS: list[Var] = []
+_KEYS: list[tuple] = []  # var_key of each slot
+_guard = 0  # the guard bit of every registered slot
 
 
 def var_key(v: Var):
     return (v[0], v[1], grlex_key(v[2]))
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict[Var, int] = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ve: var_key(ve[0])))
+def pack(pairs) -> Monomial:
+    """The monomial prod v^e of distinct (var, exponent) pairs."""
+    global _guard
+    m = 0
+    for v, e in pairs:
+        if not 0 <= e <= MAX_EXPONENT:
+            raise PreconditionError(_OVERFLOW)
+        slot = _SLOT.get(v)
+        if slot is None:
+            slot = _SLOT[v] = len(_VARS)
+            _VARS.append(v)
+            _KEYS.append(var_key(v))
+            _guard |= 0x80 << (8 * slot)
+        m |= e << (8 * slot)
+    return m
+
+
+def _fields(m: Monomial):
+    """(slot, exponent) for every variable of m, in slot order."""
+    return [(s, e) for s, e in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little")) if e]
+
+
+@lru_cache(maxsize=4096)
+def unpack(m: Monomial) -> tuple[tuple[Var, int], ...]:
+    """The monomial as ((var, exponent), ...) sorted by var_key."""
+    fields = sorted(_fields(m), key=lambda se: _KEYS[se[0]])
+    return tuple((_VARS[s], e) for s, e in fields)
+
+
+def _rational(q):
+    """An integral Fraction as its int; any other coefficient unchanged."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over Q in alphabet-tagged variables."""
+    """Sparse multivariate polynomial over Q in alphabet-tagged variables.
+
+    ``terms`` maps packed monomials to nonzero coefficients: an ``int`` when
+    the coefficient is integral, a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        reduced: dict[Monomial, Fraction] = {}
-        for mono, q in terms.items():
-            if q:
-                reduced[mono] = q
-        self.terms = reduced
+        self.terms = {m: _rational(q) for m, q in terms.items() if q}
+
+    @staticmethod
+    def _reduced(terms) -> "Polynomial":
+        """Wrap terms that already hold only nonzero, normalized coefficients."""
+        p = object.__new__(Polynomial)
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -84,13 +140,11 @@ class Polynomial:
 
     @staticmethod
     def constant(q) -> "Polynomial":
-        q = Fraction(q)
-        return Polynomial({(): q} if q else {})
+        return Polynomial({0: q if isinstance(q, int) else Fraction(q)})
 
     @staticmethod
     def variable(alphabet: str, k: int, J, exponent: int = 1) -> "Polynomial":
-        v: Var = (alphabet, k, tuple(J))
-        return Polynomial({((v, exponent),): Fraction(1)})
+        return Polynomial({pack((((alphabet, k, tuple(J)), exponent),)): 1})
 
     # -- ring structure ------------------------------------------------------
 
@@ -107,17 +161,17 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for mono, q in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + q
+            s = terms.get(mono, 0) + q
             if s:
-                terms[mono] = s
+                terms[mono] = _rational(s)
             else:
-                terms.pop(mono, None)
-        return Polynomial(terms)
+                del terms[mono]
+        return Polynomial._reduced(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -q for m, q in self.terms.items()})
+        return Polynomial._reduced({m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -132,21 +186,26 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Polynomial({m: c * q for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return Polynomial({m: c * other for m, c in self.terms.items()})
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
+        get = out.get
         for m1, q1 in self.terms.items():
             for m2, q2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + q1 * q2
+                m = m1 + m2
+                s = get(m, 0) + q1 * q2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return Polynomial(out)
+                    del out[m]
+        guard = _guard
+        for m, q in out.items():
+            if m & guard:
+                raise PreconditionError(_OVERFLOW)
+            out[m] = _rational(q)
+        return Polynomial._reduced(out)
 
     __rmul__ = __mul__
 
@@ -178,35 +237,29 @@ class Polynomial:
     # -- queries ----------------------------------------------------------------
 
     def variables(self) -> set[Var]:
-        out = set()
+        support = 0
         for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
-
-    def rational_value(self) -> Fraction:
-        """The value of a constant polynomial; error if variables remain."""
-        if self.is_zero():
-            return Fraction(0)
-        if set(self.terms) == {()}:
-            return self.terms[()]
-        raise PreconditionError("polynomial is not constant")
+            support |= mono
+        return {_VARS[s] for s, _ in _fields(support)}
 
     def sorted_terms(self):
-        def mono_key(mono):
+        """(((var, exponent), ...), coefficient) pairs, lowest degree first."""
+
+        def mono_key(kv):
+            mono = kv[0]
             return (sum(e for _, e in mono), tuple((var_key(v), e) for v, e in mono))
 
-        return sorted(self.terms.items(), key=lambda kv: mono_key(kv[0]))
+        return sorted(((unpack(m), q) for m, q in self.terms.items()), key=mono_key)
 
     def substitute(self, mapping) -> "Polynomial":
         """Replace variables via mapping(var) -> Polynomial; unmapped stay put."""
         acc = Polynomial.zero()
         for mono, q in self.terms.items():
             term = Polynomial.constant(q)
-            for v, e in mono:
+            for v, e in unpack(mono):
                 img = mapping(v)
                 if img is None:
-                    img = Polynomial({((v, 1),): Fraction(1)})
+                    img = Polynomial.variable(*v)
                 term = term * img**e
             acc = acc + term
         return acc
@@ -216,7 +269,7 @@ class Polynomial:
         acc = zero
         for mono, q in self.terms.items():
             term = one
-            for v, e in mono:
+            for v, e in unpack(mono):
                 val = assign(v)
                 for _ in range(e):
                     term = term * val
@@ -451,7 +504,7 @@ def grading_degree(index) -> int:
 
 
 def monomial_degree(mono: Monomial) -> int:
-    return sum(e * (sum(v[2]) - 1) for v, e in mono)
+    return sum(e * (sum(v[2]) - 1) for v, e in unpack(mono))
 
 
 def check_homogeneous(obj, degree: int) -> bool:
@@ -624,7 +677,7 @@ def antipode_multiply_convolution(n: int, c: int, delta_table, s_table, side: st
         acc = CoordRingElement(n, Polynomial.zero())
         for mono, q in poly.terms.items():
             term = CoordRingElement.constant(n, q)
-            for (alph, kk, JJ), e in mono:
+            for (alph, kk, JJ), e in unpack(mono):
                 if (alph == "b") == (side == "left"):
                     factor = s_table[(kk, JJ)]
                 else:

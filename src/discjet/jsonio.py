@@ -21,7 +21,7 @@ from fractions import Fraction
 from .base_ring import BaseRingDescriptor, BaseRingElement, grlex_key
 from .errors import SchemaError
 from .etale import PolyMap, RoofChart
-from .hopf import CoordRingElement, Polynomial, antipode, coproduct, var_key
+from .hopf import CoordRingElement, Polynomial, antipode, coproduct, pack
 from .jet_group import JetAutomorphism
 from .lie import Derivation
 from .rep import Representation
@@ -339,9 +339,9 @@ def decode_polynomial(obj, n: int) -> Polynomial:
                 raise SchemaError("variable exponents must be >= 1")
             key = (alphabet, k, J)
             exps[key] = exps.get(key, 0) + e
-        mono = tuple(sorted(exps.items(), key=lambda ve: var_key(ve[0])))
+        mono = pack(exps.items())
         q = decode_fraction(item.get("coef"), '"coef"')
-        terms[mono] = terms.get(mono, Fraction(0)) + q
+        terms[mono] = terms.get(mono, 0) + q
     return Polynomial(terms)
 
 

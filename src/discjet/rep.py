@@ -28,6 +28,7 @@ from .hopf import (
     coproduct_extend,
     det_polynomial,
     evaluate_coord,
+    unpack,
 )
 from .jet_group import JetAutomorphism, jet_classify
 from .series import TruncatedSeries, indices_up_to, unit_index
@@ -195,7 +196,7 @@ def _scaling_profile(elem: CoordRingElement) -> dict[int, Fraction]:
     for mono, q in elem.num.terms.items():
         exponent = 0
         survives = True
-        for (_, k, J), e in mono:
+        for (_, k, J), e in unpack(mono):
             if J == unit_index(n, k):
                 exponent += e
             else:
@@ -204,7 +205,7 @@ def _scaling_profile(elem: CoordRingElement) -> dict[int, Fraction]:
         if not survives:
             continue
         exponent -= n * elem.det_power
-        total = profile.get(exponent, Fraction(0)) + q
+        total = profile.get(exponent, 0) + q
         if total:
             profile[exponent] = total
         else:

@@ -46,14 +46,6 @@ def unit_index(dim: int, k: int) -> MultiIndex:
 def indices_up_to(dim: int, order: int, min_degree: int = 0):
     """All multi-indices with min_degree <= |J| <= order, in graded-lex order."""
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
     for d in range(min_degree, order + 1):
         batch = []
 

@@ -69,3 +69,86 @@ def sympy_reversion_1var(coeffs, order):
     check = _coeffs_from_expr(sympy.expand(u.subs(_t, v)), order)
     assert check == {1: Fraction(1)}, f"oracle reversion failed to verify: {check}"
     return _coeffs_from_expr(v, order)
+
+
+# -- sparse polynomials with tuple monomials ------------------------------------
+#
+# The representation hopf.Polynomial used before monomials were packed into
+# ints: {((var, exponent), ...): Fraction}, each monomial sorted by var_key,
+# where var = (alphabet, k, J).  A product merges two monomials in a dict and
+# sorts the result.
+
+
+def _grlex_key(J):
+    return (sum(J), tuple(-e for e in J))
+
+
+def tuple_var_key(v):
+    return (v[0], v[1], _grlex_key(v[2]))
+
+
+def tuple_mono_mul(m1, m2):
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items(), key=lambda ve: tuple_var_key(ve[0])))
+
+
+def tuple_poly_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, Fraction(0)) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def tuple_poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            out = tuple_poly_add(out, {tuple_mono_mul(m1, m2): c1 * c2})
+    return out
+
+
+def tuple_poly_substitute(p, mapping):
+    """Replace each var by mapping(var) (a tuple polynomial), or keep it on None."""
+    acc = {}
+    for mono, c in p.items():
+        term = {(): c}
+        for v, e in mono:
+            img = mapping(v)
+            if img is None:
+                img = {((v, 1),): Fraction(1)}
+            for _ in range(e):
+                term = tuple_poly_mul(term, img)
+        acc = tuple_poly_add(acc, term)
+    return acc
+
+
+def tuple_poly_evaluate(p, assign):
+    """The rational value at assign(var) -> Fraction."""
+    total = Fraction(0)
+    for mono, c in p.items():
+        term = c
+        for v, e in mono:
+            term *= assign(v) ** e
+        total += term
+    return total
+
+
+def tuple_poly_encode(p):
+    """The discjet/1 term list: lowest total degree first, then by var_key."""
+
+    def mono_key(mono):
+        return (sum(e for _, e in mono), tuple((tuple_var_key(v), e) for v, e in mono))
+
+    return [
+        {
+            "vars": [{"alphabet": a, "k": k, "J": list(J), "e": e} for (a, k, J), e in mono],
+            "coef": str(c),
+        }
+        for mono, c in sorted(p.items(), key=lambda mc: mono_key(mc[0]))
+    ]
